@@ -34,7 +34,7 @@ import (
 // benchmarks don't silently join the gate without a baseline entry.
 var targets = []struct{ pkg, pattern string }{
 	{"./internal/cpu", "^(BenchmarkEmitNilObserver|BenchmarkWakeup|BenchmarkPipelineSteadyState|BenchmarkReplayRequeue|BenchmarkReadyQueueWide|BenchmarkBitsetSelect|BenchmarkIntervalSampler)$"},
-	{"./internal/harness", "^(BenchmarkSimulateAllCached|BenchmarkLockstepSweep)$"},
+	{"./internal/harness", "^BenchmarkSimulateAllCached$"},
 	// The jobs benchmarks are disk-bound (atomic file writes), so their
 	// checked-in ns/op baselines are hand-slackened above any observed run —
 	// a gross-regression gate; their allocation budgets are the tight gate.

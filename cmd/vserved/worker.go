@@ -17,9 +17,6 @@ type workerOptions struct {
 	id          string
 	capacity    int
 	jobTimeout  time.Duration
-	lockstep    int
-	telemetry   bool
-	telemetryIv int64
 	logger      *slog.Logger
 }
 
@@ -30,15 +27,12 @@ func runWorker(ctx context.Context, o workerOptions) {
 		os.Exit(2)
 	}
 	w, err := fleet.NewWorker(fleet.WorkerConfig{
-		Coordinator:       o.coordinator,
-		ID:                o.id,
-		Capacity:          o.capacity,
-		JobTimeout:        o.jobTimeout,
-		LockstepK:         o.lockstep,
-		Telemetry:         o.telemetry,
-		TelemetryInterval: o.telemetryIv,
-		Metrics:           obs.NewSharedRegistry(),
-		Logger:            o.logger,
+		Coordinator: o.coordinator,
+		ID:          o.id,
+		Capacity:    o.capacity,
+		JobTimeout:  o.jobTimeout,
+		Metrics:     obs.NewSharedRegistry(),
+		Logger:      o.logger,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vserved:", err)

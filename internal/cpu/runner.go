@@ -2,11 +2,11 @@ package cpu
 
 import "fmt"
 
-// Runner drives a Pipeline in bounded increments so a caller can interleave
-// several simulations — the lockstep sweep executor advances K pipelines a
-// chunk of cycles at a time. The termination, cycle-budget and
-// no-progress checks are applied per cycle in exactly the order Run's closed
-// loop applies them, so a chunked run produces the identical result.
+// Runner drives a Pipeline in bounded increments: Pipeline.Run steps it in
+// large chunks, and the Telemetry sampler splits those chunks at its due
+// cycles. The termination, cycle-budget and no-progress checks are applied
+// per cycle, so a chunked run produces the identical result however the
+// cycles are split.
 type Runner struct {
 	p            *Pipeline
 	lastRetired  int64
@@ -92,9 +92,6 @@ func (r *Runner) finish(err error) bool {
 	}
 	return true
 }
-
-// Done reports whether the run has finished.
-func (r *Runner) Done() bool { return r.done }
 
 // Result returns the accumulated statistics and the run's outcome. Valid
 // once Step has returned true.

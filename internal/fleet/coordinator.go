@@ -211,9 +211,10 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	c.publishGauges()
 	writeJSON(w, http.StatusOK, LeaseResponse{
-		Jobs:            leased,
-		TTLMillis:       c.cfg.LeaseTTL.Milliseconds(),
-		HeartbeatMillis: c.cfg.Heartbeat.Milliseconds(),
+		Jobs:              leased,
+		TTLMillis:         c.cfg.LeaseTTL.Milliseconds(),
+		HeartbeatMillis:   c.cfg.Heartbeat.Milliseconds(),
+		TelemetryInterval: c.cfg.Service.TelemetryInterval(),
 	})
 }
 

@@ -14,6 +14,11 @@
 //	POST /fail       worker reports a failed attempt, fenced by the token
 //	GET  /fleet      fleet-wide snapshot: queue state plus per-worker view
 //
+// Each lease response also carries the coordinator's lease TTL, heartbeat
+// cadence and telemetry interval (LeaseResponse), so a worker needs no
+// settings of its own that could make its results differ from the
+// coordinator's: one executor, jobs.Execute, runs every job on both sides.
+//
 // Crash semantics reuse the queue's Park/Release machinery: a worker that
 // stops heartbeating loses its leases, the coordinator requeues the jobs
 // (without charging the retry budget), and the next lease hands them out
@@ -69,11 +74,15 @@ type LeaseRequest struct {
 // LeaseResponse hands out leased jobs. Each job carries its full Request
 // (the specs to run), its lease token, and its expiry; TTLMillis and
 // HeartbeatMillis tell the worker the coordinator's lease length and the
-// cadence it must renew at.
+// cadence it must renew at. TelemetryInterval is the coordinator's
+// telemetry sampling interval in simulated cycles (0 = off): the worker
+// samples the leased jobs at exactly that interval, so the results it
+// returns are the bytes the coordinator would have stored itself.
 type LeaseResponse struct {
-	Jobs            []jobs.Job `json:"jobs"`
-	TTLMillis       int64      `json:"ttl_ms"`
-	HeartbeatMillis int64      `json:"heartbeat_ms"`
+	Jobs              []jobs.Job `json:"jobs"`
+	TTLMillis         int64      `json:"ttl_ms"`
+	HeartbeatMillis   int64      `json:"heartbeat_ms"`
+	TelemetryInterval int64      `json:"telemetry_interval,omitempty"`
 }
 
 // JobProgress is one job's live progress snapshot, pushed with heartbeats.

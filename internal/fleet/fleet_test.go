@@ -8,11 +8,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"valuespec/internal/core"
 	"valuespec/internal/cpu"
 	"valuespec/internal/harness"
 	"valuespec/internal/jobs"
@@ -26,13 +29,21 @@ type testFleet struct {
 	coord *Coordinator
 	srv   *httptest.Server
 	reg   *obs.SharedRegistry
+	dir   string
 	scale int
 }
 
 func newTestFleet(t *testing.T, ttl time.Duration) *testFleet {
+	return newTestFleetConfig(t, ttl, jobs.Config{})
+}
+
+// newTestFleetConfig is newTestFleet over a service opened with cfg, its
+// data directory, worker count and metrics filled in.
+func newTestFleetConfig(t *testing.T, ttl time.Duration, cfg jobs.Config) *testFleet {
 	t.Helper()
 	reg := obs.NewSharedRegistry()
-	svc, err := jobs.Open(jobs.Config{DataDir: t.TempDir(), Workers: 0, Metrics: reg})
+	cfg.DataDir, cfg.Workers, cfg.Metrics = t.TempDir(), 0, reg
+	svc, err := jobs.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +61,7 @@ func newTestFleet(t *testing.T, ttl time.Duration) *testFleet {
 		coord.Close()
 		svc.Close()
 	})
-	return &testFleet{svc: svc, coord: coord, srv: srv, reg: reg}
+	return &testFleet{svc: svc, coord: coord, srv: srv, reg: reg, dir: cfg.DataDir}
 }
 
 func (f *testFleet) submit(t *testing.T, name string, specs int) jobs.Job {
@@ -112,7 +123,9 @@ func waitState(t *testing.T, f *testFleet, id string, want jobs.State, timeout t
 
 // TestFleetEndToEnd drives two workers over a live coordinator: every job
 // completes exactly once, results land in the store, and the merged
-// telemetry shows fleet-wide counters.
+// telemetry shows fleet-wide counters. It then checks executor parity: a
+// worker built with no telemetry settings, leasing from a coordinator that
+// stores telemetry, stores the same bytes as an in-process service.
 func TestFleetEndToEnd(t *testing.T) {
 	f := newTestFleet(t, 5*time.Second)
 	var submitted []jobs.Job
@@ -174,6 +187,78 @@ func TestFleetEndToEnd(t *testing.T) {
 	if len(view.Workers) != 2 {
 		t.Errorf("fleet view has %d workers, want 2", len(view.Workers))
 	}
+
+	// Executor parity, over the real simulator.
+	great := core.Great()
+	req := jobs.Request{Name: "parity", Specs: []jobs.SimSpec{
+		{Workload: "compress", Scale: 1},
+		{Workload: "compress", Scale: 1, Model: &great},
+	}}
+	telem := jobs.Config{Telemetry: true, TelemetryInterval: 256}
+	localDir, hash := runInProcess(t, telem, req)
+	local := storedResult(t, localDir, hash)
+
+	pf := newTestFleetConfig(t, 5*time.Second, telem)
+	pjob, _, err := pf.svc.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pctx, pcancel := context.WithCancel(context.Background())
+	defer pcancel()
+	go newTestWorker(t, pf, "plain", nil).Run(pctx)
+	waitState(t, pf, pjob.ID, jobs.StateDone, 30*time.Second)
+	remote := storedResult(t, pf.dir, pjob.SpecHash)
+	if !bytes.Contains(local, []byte(`"telemetry"`)) {
+		t.Fatal("in-process result carries no telemetry snapshot")
+	}
+	if !bytes.Equal(remote, local) {
+		i := 0
+		for i < len(remote) && i < len(local) && remote[i] == local[i] {
+			i++
+		}
+		t.Errorf("worker-stored result (%d bytes) differs from the in-process one (%d bytes) at byte %d:\nworker:     %.200s\nin-process: %.200s",
+			len(remote), len(local), i, remote[i:], local[i:])
+	}
+}
+
+// runInProcess runs req to completion on an in-process service opened with
+// cfg and returns its data directory and the request's spec hash.
+func runInProcess(t *testing.T, cfg jobs.Config, req jobs.Request) (string, string) {
+	t.Helper()
+	cfg.DataDir, cfg.Workers = t.TempDir(), 1
+	svc, err := jobs.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Start()
+	defer svc.Close()
+	job, _, err := svc.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		if j, _ := svc.Job(job.ID); j.State.Terminal() {
+			if j.State != jobs.StateDone {
+				t.Fatalf("in-process job finished %s (%s)", j.State, j.Error)
+			}
+			return cfg.DataDir, j.SpecHash
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Fatalf("in-process job %s did not finish", job.ID)
+	return "", ""
+}
+
+// storedResult reads the result set a service stored for hash, as the bytes
+// on disk.
+func storedResult(t *testing.T, dataDir, hash string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dataDir, "results", hash+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // TestFleetWorkerDeath kills a worker mid-job (its Simulate never returns

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"valuespec/internal/cpu"
 	"valuespec/internal/harness"
 	"valuespec/internal/jobs"
 	"valuespec/internal/obs"
@@ -36,19 +35,12 @@ type WorkerConfig struct {
 	// JobTimeout bounds one job execution; 0 means no bound. A job whose
 	// request carries TimeoutSeconds > 0 uses that instead.
 	JobTimeout time.Duration
-	// LockstepK > 1 routes batches through harness.SimulateLockstepBatch,
-	// exactly like the in-process worker pool; results stay byte-identical.
-	LockstepK int
-	// Telemetry and TelemetryInterval mirror jobs.Config: when the
-	// coordinator stores telemetry, its workers must sample it too.
-	Telemetry         bool
-	TelemetryInterval int64
 	// Metrics is the worker's local registry: harness progress publishes
 	// into it and each heartbeat pushes its delta to the coordinator. nil
 	// allocates a private one.
 	Metrics *obs.SharedRegistry
 	// Simulate overrides the batch executor (tests script failures and
-	// hangs); nil selects the harness executor per LockstepK.
+	// hangs); nil selects harness.SimulateBatch.
 	Simulate jobs.SimulateFunc
 	// HTTP is the client used for all protocol calls; nil uses a client
 	// with a 30s timeout.
@@ -80,11 +72,12 @@ type Worker struct {
 // cannot share one); the snapshot rides each heartbeat for the /fleet
 // view, while the worker-level counters flow through the push registry.
 type workerRun struct {
-	job      jobs.Job
-	token    string
-	cancel   context.CancelFunc // set once the run starts; nil before
-	progress *harness.Progress
-	started  time.Time
+	job       jobs.Job
+	token     string
+	telemetry int64              // the coordinator's telemetry interval at lease time; 0 = off
+	cancel    context.CancelFunc // set once the run starts; nil before
+	progress  *harness.Progress
+	started   time.Time
 }
 
 // NewWorker builds a worker; Run drives it.
@@ -106,13 +99,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		cfg.Poll = 500 * time.Millisecond
 	}
 	if cfg.Simulate == nil {
-		if k := cfg.LockstepK; k > 1 {
-			cfg.Simulate = func(ctx context.Context, specs []harness.Spec, progress *harness.Progress) ([]harness.Result, error) {
-				return harness.SimulateLockstepBatch(ctx, specs, k, progress)
-			}
-		} else {
-			cfg.Simulate = harness.SimulateBatch
-		}
+		cfg.Simulate = harness.SimulateBatch
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewSharedRegistry()
@@ -213,10 +200,11 @@ func (w *Worker) lease(ctx context.Context, free int) ([]jobs.Job, error) {
 	for i := range resp.Jobs {
 		job := resp.Jobs[i]
 		w.runs[job.ID] = &workerRun{
-			job:      job,
-			token:    job.LeaseToken,
-			progress: harness.NewProgress(obs.NewSharedRegistry()),
-			started:  now,
+			job:       job,
+			token:     job.LeaseToken,
+			telemetry: resp.TelemetryInterval,
+			progress:  harness.NewProgress(obs.NewSharedRegistry()),
+			started:   now,
 		}
 		w.free--
 	}
@@ -261,7 +249,9 @@ func (w *Worker) runJob(ctx context.Context, job jobs.Job) {
 	w.cfg.Logger.Info("job leased to this worker",
 		"worker", w.cfg.ID, "job", job.ID, "spec_hash", job.SpecHash, "specs", len(job.Request.Specs))
 
-	results, err := w.execute(runCtx, job, run.progress)
+	// Phase timing is off: its summary annotates the coordinator's run
+	// span, which a remote run does not have.
+	results, _, err := jobs.Execute(runCtx, w.cfg.Simulate, job.Request, false, run.telemetry, run.progress)
 	elapsed := time.Since(run.started).Milliseconds()
 	w.cfg.Metrics.Observe(MetricWorkerRunMS, elapsed)
 
@@ -285,44 +275,6 @@ func (w *Worker) runJob(ctx context.Context, job jobs.Job) {
 	}
 	w.cfg.Metrics.Add(MetricWorkerCycles, cycles)
 	w.reportComplete(job, run.token, results, elapsed)
-}
-
-// execute mirrors the coordinator's in-process executor so results are
-// byte-identical wherever a job runs: same spec conversion, same telemetry
-// attachment, same result packaging.
-func (w *Worker) execute(ctx context.Context, job jobs.Job, progress *harness.Progress) ([]jobs.SpecResult, error) {
-	specs, err := job.Request.HarnessSpecs()
-	if err != nil {
-		return nil, err
-	}
-	if w.cfg.Telemetry {
-		interval := w.cfg.TelemetryInterval
-		if interval <= 0 {
-			interval = jobs.DefaultTelemetryInterval
-		}
-		for i := range specs {
-			specs[i].Telemetry = cpu.NewTelemetry(interval, jobs.TelemetrySeriesCap)
-		}
-	}
-	results, err := w.cfg.Simulate(ctx, specs, progress)
-	progress.Finish()
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, ctxErr
-		}
-		return nil, err
-	}
-	if len(results) != len(job.Request.Specs) {
-		return nil, fmt.Errorf("fleet: executor returned %d results for %d specs", len(results), len(job.Request.Specs))
-	}
-	out := make([]jobs.SpecResult, len(results))
-	for i, r := range results {
-		out[i] = jobs.SpecResult{Spec: job.Request.Specs[i], Stats: r.Stats}
-		if tl := specs[i].Telemetry; tl != nil && r.Stats != nil {
-			out[i].Telemetry = tl.Snapshot()
-		}
-	}
-	return out, nil
 }
 
 // reportComplete POSTs the results; a 409 means the lease rotated away

@@ -100,11 +100,14 @@ func (s *Service) CompleteLeased(id, token string, results []SpecResult) (Job, e
 	if err != nil {
 		return job, err
 	}
+	// Count before the job turns terminal, as the in-process path does,
+	// and withdraw the count if the lease was lost in the meantime.
+	s.count(MetricCompleted, 1)
 	done, err := s.queue.CompleteLease(id, token)
 	if err != nil {
+		s.count(MetricCompleted, -1)
 		return done, err
 	}
-	s.count(MetricCompleted, 1)
 	s.publish()
 	s.finishJob(done, "done")
 	s.cfg.Logger.Info("job done",

@@ -2,13 +2,10 @@ package jobs
 
 import (
 	"container/heap"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -104,7 +101,6 @@ func (h *jobHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = 
 // errs towards re-running a job, which the content-addressed store makes
 // idempotent.
 type Queue struct {
-	dir     string
 	journal *journal
 
 	mu        sync.Mutex
@@ -144,16 +140,8 @@ func OpenQueueCommit(dir string, commitInterval time.Duration) (*Queue, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("jobs: queue: %w", err)
 	}
-	q := &Queue{dir: dir, jobs: make(map[string]*Job), nextSeq: 1, epoch: time.Now().UnixNano()}
+	q := &Queue{jobs: make(map[string]*Job), nextSeq: 1, epoch: time.Now().UnixNano()}
 	q.cond = sync.NewCond(&q.mu)
-
-	// Legacy layout: one <id>.json per job, from before the journal. Load
-	// them first (journal records, being newer, override below), fold them
-	// into the journal, then remove the files.
-	legacy, err := q.loadLegacy()
-	if err != nil {
-		return nil, err
-	}
 
 	j, err := openJournal(dir, commitInterval, func(job Job) {
 		q.applyRecord(job)
@@ -165,7 +153,7 @@ func OpenQueueCommit(dir string, commitInterval time.Duration) (*Queue, error) {
 
 	// Normalize recovered state: anything live goes back to queued, leases
 	// do not survive their coordinator.
-	var migrate [][]byte
+	var requeued [][]byte
 	for _, job := range q.jobs {
 		if job.State == StateQueued || job.State == StateRunning {
 			job.State = StateQueued
@@ -176,7 +164,7 @@ func OpenQueueCommit(dir string, commitInterval time.Duration) (*Queue, error) {
 				q.journal.Close()
 				return nil, err
 			}
-			migrate = append(migrate, rec)
+			requeued = append(requeued, rec)
 			heap.Push(&q.pending, job)
 		}
 		if job.Seq >= q.nextSeq {
@@ -185,22 +173,8 @@ func OpenQueueCommit(dir string, commitInterval time.Duration) (*Queue, error) {
 	}
 	heap.Init(&q.pending)
 
-	// Migrated legacy jobs need journal records too, or a crash before the
-	// first compaction would lose them.
-	for _, name := range legacy {
-		job := q.jobs[name]
-		if job == nil || job.State == StateQueued { // live ones staged above
-			continue
-		}
-		rec, err := encodeRecord(job)
-		if err != nil {
-			q.journal.Close()
-			return nil, err
-		}
-		migrate = append(migrate, rec)
-	}
 	var last uint64
-	for _, rec := range migrate {
+	for _, rec := range requeued {
 		if last, err = q.journal.append(rec); err != nil {
 			q.journal.Close()
 			return nil, err
@@ -212,39 +186,7 @@ func OpenQueueCommit(dir string, commitInterval time.Duration) (*Queue, error) {
 			return nil, err
 		}
 	}
-	for _, name := range legacy {
-		os.Remove(filepath.Join(dir, name+".json"))
-	}
 	return q, nil
-}
-
-// loadLegacy reads pre-journal one-file-per-job records into the job map and
-// returns their ids; the caller re-journals and removes them.
-func (q *Queue) loadLegacy() ([]string, error) {
-	entries, err := os.ReadDir(q.dir)
-	if err != nil {
-		return nil, fmt.Errorf("jobs: queue: %w", err)
-	}
-	var ids []string
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(q.dir, e.Name()))
-		if err != nil {
-			return nil, fmt.Errorf("jobs: queue: %w", err)
-		}
-		var j Job
-		if err := json.Unmarshal(data, &j); err != nil {
-			return nil, fmt.Errorf("jobs: queue: %s: %w", e.Name(), err)
-		}
-		if j.ID == "" || q.jobs[j.ID] != nil {
-			return nil, fmt.Errorf("jobs: queue: %s: bad or duplicate job id %q", e.Name(), j.ID)
-		}
-		q.jobs[j.ID] = &j
-		ids = append(ids, j.ID)
-	}
-	return ids, nil
 }
 
 // applyRecord folds one replayed journal record into the map (last record
@@ -613,17 +555,6 @@ func (q *Queue) Fail(id string, cause error) (Job, error) {
 		j.FinishedAt = time.Now().UTC()
 		return nil
 	})
-}
-
-// Requeue puts a running job back in the pending queue (after a transient
-// failure, or at shutdown so a restart resumes it), recording the cause.
-func (q *Queue) Requeue(id string, cause error) (Job, error) {
-	j, err := q.Park(id, cause)
-	if err != nil {
-		return j, err
-	}
-	q.Release(id)
-	return j, nil
 }
 
 // Park marks a running job queued on disk without making it poppable yet;

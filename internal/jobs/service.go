@@ -97,13 +97,8 @@ type Config struct {
 	// Telemetry is on; <= 0 selects DefaultTelemetryInterval.
 	TelemetryInterval int64
 	// Simulate overrides the batch executor; nil selects
-	// harness.SimulateBatch (or the lockstep executor when LockstepK > 1).
+	// harness.SimulateBatch.
 	Simulate SimulateFunc
-	// LockstepK, when > 1 and Simulate is nil, routes each job's batch
-	// through harness.SimulateLockstepBatch, advancing up to K same-trace
-	// specs in lockstep per worker. Results are byte-identical to the
-	// per-spec scheduler.
-	LockstepK int
 }
 
 // DefaultRetryBackoff is the first-retry delay when Config leaves it zero.
@@ -158,14 +153,14 @@ func Open(cfg Config) (*Service, error) {
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = DefaultRetryBackoff
 	}
+	switch {
+	case !cfg.Telemetry:
+		cfg.TelemetryInterval = 0
+	case cfg.TelemetryInterval <= 0:
+		cfg.TelemetryInterval = DefaultTelemetryInterval
+	}
 	if cfg.Simulate == nil {
-		if k := cfg.LockstepK; k > 1 {
-			cfg.Simulate = func(ctx context.Context, specs []harness.Spec, progress *harness.Progress) ([]harness.Result, error) {
-				return harness.SimulateLockstepBatch(ctx, specs, k, progress)
-			}
-		} else {
-			cfg.Simulate = harness.SimulateBatch
-		}
+		cfg.Simulate = harness.SimulateBatch
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = obs.NopLogger()
@@ -223,6 +218,11 @@ func (s *Service) Close() {
 	s.queue.Close()
 	s.wg.Wait()
 }
+
+// TelemetryInterval is the sampling interval, in simulated cycles, of the
+// telemetry stored with every result; 0 when Config.Telemetry is off. Fleet
+// coordinators hand it to their workers with each lease.
+func (s *Service) TelemetryInterval() int64 { return s.cfg.TelemetryInterval }
 
 // Recovered returns how many jobs the open re-queued after a restart.
 func (s *Service) Recovered() int { return s.queue.Recovered() }
@@ -428,7 +428,7 @@ func (s *Service) runJob(job Job) {
 	run.Attr("specs", fmt.Sprint(len(job.Request.Specs)))
 	runBegan := time.Now()
 
-	results, phases, runErr := s.execute(ctx, job, progress)
+	results, phases, runErr := Execute(ctx, s.cfg.Simulate, job.Request, s.cfg.TracePhases, s.cfg.TelemetryInterval, progress)
 
 	snap := progress.Snapshot()
 	run.Attr("cycles", fmt.Sprint(snap.CyclesTotal))
@@ -462,8 +462,10 @@ func (s *Service) runJob(job Job) {
 			runErr = err
 			break
 		}
-		done, _ := s.queue.Complete(job.ID)
+		// Count before the job turns terminal: a client that sees the job
+		// done must also see it counted.
 		s.count(MetricCompleted, 1)
+		done, _ := s.queue.Complete(job.ID)
 		s.publish()
 		s.finishJob(done, "done")
 		s.cfg.Logger.Info("job done",
@@ -471,8 +473,8 @@ func (s *Service) runJob(job Job) {
 			"attempt", job.Attempts, "elapsed", time.Since(runBegan))
 		return
 	case userCancel:
-		done, _ := s.queue.MarkCanceled(job.ID)
 		s.count(MetricCanceled, 1)
+		done, _ := s.queue.MarkCanceled(job.ID)
 		s.publish()
 		s.finishJob(done, "canceled")
 		s.cfg.Logger.Warn("job canceled",
@@ -534,8 +536,8 @@ func (s *Service) settleFailure(job Job, cause error) {
 			return
 		}
 	}
-	done, _ := s.queue.Fail(job.ID, cause)
 	s.count(MetricFailed, 1)
+	done, _ := s.queue.Fail(job.ID, cause)
 	s.publish()
 	s.finishJob(done, "failed")
 	s.cfg.Logger.Error("job failed",
@@ -543,30 +545,27 @@ func (s *Service) settleFailure(job Job, cause error) {
 		"attempts", job.Attempts, "err", cause)
 }
 
-// execute runs the job's specs through the configured executor. Context
-// errors win over per-spec errors so timeouts and cancellations are
-// reported as such. The second return is the aggregated per-phase wall-time
-// breakdown (empty unless Config.TracePhases is set).
-func (s *Service) execute(ctx context.Context, job Job, progress *harness.Progress) ([]SpecResult, string, error) {
-	specs, err := job.Request.HarnessSpecs()
+// Execute runs one job's Request through simulate and packages the results
+// in request order. It is the one executor behind both the in-process
+// worker pool and fleet workers, so a job's stored bytes do not depend on
+// where it ran. tracePhases turns on the per-stage wall-time breakdown,
+// returned as a compact summary for the run span (empty when off);
+// telemetryInterval > 0 attaches a cpu.Telemetry sampler of that interval
+// to every spec and stores its snapshot with each result. progress tracks
+// the run and is marked finished on return. Context errors win over
+// per-spec errors so timeouts and cancellations are reported as such.
+func Execute(ctx context.Context, simulate SimulateFunc, req Request, tracePhases bool, telemetryInterval int64, progress *harness.Progress) ([]SpecResult, string, error) {
+	specs, err := req.HarnessSpecs()
 	if err != nil {
 		return nil, "", err
 	}
-	if s.cfg.TracePhases {
-		for i := range specs {
-			specs[i].Phases = true
+	for i := range specs {
+		specs[i].Phases = tracePhases
+		if telemetryInterval > 0 {
+			specs[i].Telemetry = cpu.NewTelemetry(telemetryInterval, TelemetrySeriesCap)
 		}
 	}
-	if s.cfg.Telemetry {
-		interval := s.cfg.TelemetryInterval
-		if interval <= 0 {
-			interval = DefaultTelemetryInterval
-		}
-		for i := range specs {
-			specs[i].Telemetry = cpu.NewTelemetry(interval, TelemetrySeriesCap)
-		}
-	}
-	results, err := s.cfg.Simulate(ctx, specs, progress)
+	results, err := simulate(ctx, specs, progress)
 	progress.Finish()
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
@@ -574,12 +573,12 @@ func (s *Service) execute(ctx context.Context, job Job, progress *harness.Progre
 		}
 		return nil, "", err
 	}
-	if len(results) != len(job.Request.Specs) {
-		return nil, "", fmt.Errorf("jobs: executor returned %d results for %d specs", len(results), len(job.Request.Specs))
+	if len(results) != len(req.Specs) {
+		return nil, "", fmt.Errorf("jobs: executor returned %d results for %d specs", len(results), len(req.Specs))
 	}
 	out := make([]SpecResult, len(results))
 	for i, r := range results {
-		out[i] = SpecResult{Spec: job.Request.Specs[i], Stats: r.Stats}
+		out[i] = SpecResult{Spec: req.Specs[i], Stats: r.Stats}
 		if tl := specs[i].Telemetry; tl != nil && r.Stats != nil {
 			out[i].Telemetry = tl.Snapshot()
 		}

@@ -34,7 +34,9 @@ import (
 // benchmarks don't silently join the gate without a baseline entry.
 var targets = []struct{ pkg, pattern string }{
 	{"./internal/cpu", "^(BenchmarkEmitNilObserver|BenchmarkWakeup|BenchmarkPipelineSteadyState|BenchmarkReplayRequeue|BenchmarkReadyQueueWide|BenchmarkBitsetSelect|BenchmarkIntervalSampler)$"},
-	{"./internal/harness", "^BenchmarkSimulateAllCached$"},
+	// BenchmarkTraceReplay gates the trace-cache replay cursor alone at 0
+	// allocs/op: it rebuilds every record into its own buffer.
+	{"./internal/harness", "^(BenchmarkSimulateAllCached|BenchmarkTraceReplay)$"},
 	// The jobs benchmarks are disk-bound (atomic file writes), so their
 	// checked-in ns/op baselines are hand-slackened above any observed run —
 	// a gross-regression gate; their allocation budgets are the tight gate.

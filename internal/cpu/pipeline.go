@@ -42,10 +42,10 @@ type Pipeline struct {
 	bp   *bpred.Gshare
 
 	src trace.Source
-	// srcRef is src's copy-free cursor when it offers one (a cached
-	// MemorySource does): fetch reads records in place from the shared
-	// recording instead of copying 100+ bytes per Next. recScratch backs
-	// the same pointer protocol for plain sources.
+	// srcRef is src's in-place cursor when it offers one (a cached
+	// trace.Cursor does): fetch reads each record where the cursor rebuilt
+	// it instead of copying 100+ bytes per Next. recScratch backs the same
+	// pointer protocol for plain sources.
 	srcRef     refSource
 	recScratch trace.Record
 	srcDone    bool
@@ -189,9 +189,9 @@ func New(cfg Config, spec *SpecOptions, src trace.Source) (*Pipeline, error) {
 	return p, nil
 }
 
-// refSource is the optional copy-free cursor a Source may offer (see
-// trace.MemorySource.NextRef). The returned pointer is read-only and valid
-// only until the next call.
+// refSource is the optional in-place cursor a Source may offer (see
+// trace.Cursor.NextRef). The returned pointer is read-only and valid only
+// until the next call.
 type refSource interface {
 	NextRef() (*trace.Record, bool)
 }

@@ -44,14 +44,14 @@ func (s *cyclicSource) Next() (trace.Record, bool) {
 // after the timed loop. The 0 allocs/op budget therefore also pins
 // "attached-but-idle" live observability as allocation-free.
 func BenchmarkPipelineSteadyState(b *testing.B) {
-	recs := benchWakeupRecs(b, 20000)
+	recs := genRecordings(b, 20000)
 	spec := &SpecOptions{
 		Enabled:    true,
 		Model:      core.Great(),
 		Predictor:  vpred.NewFCM(vpred.FCMConfig{HistoryBits: 10, PredictionBits: 10, HistoryDepth: 4}),
 		Confidence: confidence.NewResetting(10, 2),
 	}
-	p, err := New(flatMemConfig(Config8x48()), spec, &cyclicSource{recs: recs})
+	p, err := New(flatMemConfig(Config8x48()), spec, &cyclicSource{recs: trace.Collect(replay(recs), 0)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -86,14 +86,14 @@ func BenchmarkPipelineSteadyState(b *testing.B) {
 // boundary; the 0 allocs/op budget pins sampling as allocation-free
 // (TimeSeries decimate in place instead of growing).
 func BenchmarkIntervalSampler(b *testing.B) {
-	recs := benchWakeupRecs(b, 20000)
+	recs := genRecordings(b, 20000)
 	spec := &SpecOptions{
 		Enabled:    true,
 		Model:      core.Great(),
 		Predictor:  vpred.NewFCM(vpred.FCMConfig{HistoryBits: 10, PredictionBits: 10, HistoryDepth: 4}),
 		Confidence: confidence.NewResetting(10, 2),
 	}
-	p, err := New(flatMemConfig(Config8x48()), spec, &cyclicSource{recs: recs})
+	p, err := New(flatMemConfig(Config8x48()), spec, &cyclicSource{recs: trace.Collect(replay(recs), 0)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func sizeName(kind string, n int) string {
 // "scan" is the reference full-window scan. benchcheck gates all three side
 // by side.
 func BenchmarkReadyQueueWide(b *testing.B) {
-	recs := benchWakeupRecs(b, 20000)
+	recs := genRecordings(b, 20000)
 	cfg := flatMemConfig(Config{IssueWidth: 16, WindowSize: 512})
 	for _, mode := range wakeupModes {
 		b.Run(mode.name, func(b *testing.B) {
@@ -185,7 +185,7 @@ func BenchmarkReadyQueueWide(b *testing.B) {
 					Predictor:  vpred.NewFCM(vpred.FCMConfig{HistoryBits: 10, PredictionBits: 10, HistoryDepth: 4}),
 					Confidence: confidence.NewResetting(10, 2),
 				}
-				p, err := New(cfg, spec, trace.NewMemorySource(recs))
+				p, err := New(cfg, spec, replay(recs))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -207,7 +207,7 @@ func BenchmarkReadyQueueWide(b *testing.B) {
 // wakeup mode so the bitset words, the tombstoned queue and the full scan
 // are compared cycle for cycle on identical machine state.
 func BenchmarkBitsetSelect(b *testing.B) {
-	recs := benchWakeupRecs(b, 20000)
+	recs := genRecordings(b, 20000)
 	cfg := flatMemConfig(Config{IssueWidth: 16, WindowSize: 512})
 	for _, mode := range wakeupModes {
 		b.Run(mode.name, func(b *testing.B) {
@@ -217,7 +217,7 @@ func BenchmarkBitsetSelect(b *testing.B) {
 				Predictor:  vpred.NewFCM(vpred.FCMConfig{HistoryBits: 10, PredictionBits: 10, HistoryDepth: 4}),
 				Confidence: confidence.NewResetting(10, 2),
 			}
-			p, err := New(cfg, spec, &cyclicSource{recs: recs})
+			p, err := New(cfg, spec, &cyclicSource{recs: trace.Collect(replay(recs), 0)})
 			if err != nil {
 				b.Fatal(err)
 			}

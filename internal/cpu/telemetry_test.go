@@ -1,38 +1,13 @@
 package cpu
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
 	"valuespec/internal/confidence"
 	"valuespec/internal/core"
-	"valuespec/internal/emu"
-	"valuespec/internal/trace"
 	"valuespec/internal/vpred"
 )
-
-// telemetryRecs builds a realistic record stream (same generator as the
-// wakeup benchmarks) long enough to exercise predictions, invalidations and
-// several sampling intervals.
-func telemetryRecs(t *testing.T, n int) []trace.Record {
-	t.Helper()
-	r := rand.New(rand.NewSource(99))
-	var recs []trace.Record
-	for len(recs) < n {
-		prog := genProgram(r)
-		m, err := emu.New(prog, emu.WithBudget(int64(n-len(recs))))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := trace.Collect(m, 0)
-		for i := range got {
-			got[i].Seq = int64(len(recs) + i)
-		}
-		recs = append(recs, got...)
-	}
-	return recs
-}
 
 func telemetrySpec() *SpecOptions {
 	return &SpecOptions{
@@ -48,8 +23,8 @@ func telemetrySpec() *SpecOptions {
 // partition total predictions exactly — both in the frozen end-of-run
 // outcome block and as the sum of the per-interval delta series.
 func TestTelemetryQuadrantsReconcile(t *testing.T) {
-	recs := telemetryRecs(t, 8000)
-	p, err := New(flatMemConfig(Config8x48()), telemetrySpec(), trace.NewMemorySource(recs))
+	recs := genRecordings(t, 8000)
+	p, err := New(flatMemConfig(Config8x48()), telemetrySpec(), replay(recs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,9 +84,9 @@ func TestTelemetryQuadrantsReconcile(t *testing.T) {
 // Runner.Step chunk splitting it triggers — does not perturb the simulated
 // timing or statistics.
 func TestTelemetryIndependence(t *testing.T) {
-	recs := telemetryRecs(t, 4000)
+	recs := genRecordings(t, 4000)
 	run := func(tl *Telemetry, chunk int) *Stats {
-		p, err := New(flatMemConfig(Config8x48()), telemetrySpec(), trace.NewMemorySource(recs))
+		p, err := New(flatMemConfig(Config8x48()), telemetrySpec(), replay(recs))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,8 +111,8 @@ func TestTelemetryIndependence(t *testing.T) {
 // each retained sample's cycle is a multiple of K (except the final partial
 // flush at run end).
 func TestTelemetrySamplesAtBoundaries(t *testing.T) {
-	recs := telemetryRecs(t, 3000)
-	p, err := New(flatMemConfig(Config8x48()), telemetrySpec(), trace.NewMemorySource(recs))
+	recs := genRecordings(t, 3000)
+	p, err := New(flatMemConfig(Config8x48()), telemetrySpec(), replay(recs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,8 +134,8 @@ func TestTelemetrySamplesAtBoundaries(t *testing.T) {
 }
 
 func TestTelemetryCSVAndSnapshot(t *testing.T) {
-	recs := telemetryRecs(t, 2000)
-	p, err := New(flatMemConfig(Config8x48()), telemetrySpec(), trace.NewMemorySource(recs))
+	recs := genRecordings(t, 2000)
+	p, err := New(flatMemConfig(Config8x48()), telemetrySpec(), replay(recs))
 	if err != nil {
 		t.Fatal(err)
 	}

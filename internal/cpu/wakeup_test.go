@@ -131,34 +131,77 @@ func TestEventWakeupMatchesScan(t *testing.T) {
 	}
 }
 
-// benchWakeupRecs builds a window-saturating record stream: long dependence
-// chains interleaved with independent work, so the window stays full and the
-// wakeup logic has many entries to consider each cycle.
-func benchWakeupRecs(b *testing.B, n int) []trace.Record {
-	b.Helper()
+// genRecordings builds a window-saturating instruction stream: random
+// programs (long dependence chains interleaved with independent work, so
+// the window stays full and the wakeup logic has many entries to consider
+// each cycle), each recorded as a compact trace.Recording, until the
+// recordings total n records. Replay them with replay.
+func genRecordings(tb testing.TB, n int) []*trace.Recording {
+	tb.Helper()
 	r := rand.New(rand.NewSource(99))
-	var recs []trace.Record
-	for len(recs) < n {
+	var recs []*trace.Recording
+	for total := int64(0); total < int64(n); {
 		prog := genProgram(r)
-		m, err := emu.New(prog, emu.WithBudget(int64(n-len(recs))))
+		m, err := emu.New(prog, emu.WithBudget(int64(n)-total))
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		got := trace.Collect(m, 0)
-		// Renumber so the concatenated stream is a single coherent trace.
-		for i := range got {
-			got[i].Seq = int64(len(recs) + i)
+		rec, err := trace.NewRecording(prog.Code, m)
+		if err == nil {
+			err = m.Err()
 		}
-		recs = append(recs, got...)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		recs = append(recs, rec)
+		total += rec.Len()
 	}
 	return recs
+}
+
+// chainSource replays recordings back to back through a cursor's NextRef,
+// the path a cached trace takes into the pipeline, renumbering Seq so the
+// concatenation is one coherent trace. It reuses one cursor for every
+// recording, so a replay allocates only the chainSource itself.
+type chainSource struct {
+	next []*trace.Recording // recordings after the current one
+	cur  trace.Cursor
+	seq  int64
+}
+
+// replay returns a fresh stream over recs.
+func replay(recs []*trace.Recording) *chainSource {
+	return &chainSource{next: recs[1:], cur: *recs[0].Cursor()}
+}
+
+func (s *chainSource) NextRef() (*trace.Record, bool) {
+	for {
+		if r, ok := s.cur.NextRef(); ok {
+			r.Seq = s.seq
+			s.seq++
+			return r, true
+		}
+		if len(s.next) == 0 {
+			return nil, false
+		}
+		s.cur = *s.next[0].Cursor()
+		s.next = s.next[1:]
+	}
+}
+
+func (s *chainSource) Next() (trace.Record, bool) {
+	r, ok := s.NextRef()
+	if !ok {
+		return trace.Record{}, false
+	}
+	return *r, true
 }
 
 // BenchmarkWakeup compares the three wakeup implementations on the
 // 16-wide/96-entry configuration, where the per-cycle scans are largest. The
 // "bitset" result is the shipped path.
 func BenchmarkWakeup(b *testing.B) {
-	recs := benchWakeupRecs(b, 20000)
+	recs := genRecordings(b, 20000)
 	cfg := flatMemConfig(Config16x96())
 	for _, mode := range wakeupModes {
 		b.Run(mode.name, func(b *testing.B) {
@@ -171,7 +214,7 @@ func BenchmarkWakeup(b *testing.B) {
 					Predictor:  vpred.NewFCM(vpred.FCMConfig{HistoryBits: 10, PredictionBits: 10, HistoryDepth: 4}),
 					Confidence: confidence.NewResetting(10, 2),
 				}
-				p, err := New(cfg, spec, trace.NewMemorySource(recs))
+				p, err := New(cfg, spec, replay(recs))
 				if err != nil {
 					b.Fatal(err)
 				}

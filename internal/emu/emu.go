@@ -27,6 +27,7 @@ type Machine struct {
 	seq    int64
 	budget int64 // remaining instructions, <0 means unlimited
 	halted bool
+	err    error // the execution fault that halted the machine, if any
 }
 
 // Option configures a Machine.
@@ -62,6 +63,12 @@ func New(p *program.Program, opts ...Option) (*Machine, error) {
 // Halted reports whether the machine has stopped.
 func (m *Machine) Halted() bool { return m.halted }
 
+// Err returns the execution fault that stopped the machine, or nil while it
+// runs and after a clean halt (HALT or an exhausted budget). A stream read
+// through Next ends at a fault just as it ends at a halt; check Err after
+// draining it to tell the two apart.
+func (m *Machine) Err() error { return m.err }
+
 // PC returns the current program counter (static instruction index).
 func (m *Machine) PC() int { return m.pc }
 
@@ -82,7 +89,8 @@ func (m *Machine) Step() (trace.Record, error) {
 	}
 	if m.pc < 0 || m.pc >= len(m.prog.Code) {
 		m.halted = true
-		return trace.Record{}, fmt.Errorf("emu: pc %d out of range [0,%d)", m.pc, len(m.prog.Code))
+		m.err = fmt.Errorf("emu: pc %d out of range [0,%d) after %d instructions", m.pc, len(m.prog.Code), m.seq)
+		return trace.Record{}, m.err
 	}
 	in := m.prog.Code[m.pc]
 	rec := trace.Record{Seq: m.seq, PC: m.pc, Instr: in, NextPC: m.pc + 1}
@@ -146,7 +154,7 @@ func (m *Machine) setReg(r isa.Reg, v int64) {
 }
 
 // Next implements trace.Source: it steps the machine, reporting false at
-// halt or on an execution fault.
+// halt or on an execution fault (which Err then returns).
 func (m *Machine) Next() (trace.Record, bool) {
 	if m.halted {
 		return trace.Record{}, false

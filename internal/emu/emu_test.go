@@ -2,6 +2,7 @@ package emu
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"valuespec/internal/program"
@@ -204,6 +205,36 @@ func TestPCOutOfRange(t *testing.T) {
 	}
 	if !m.Halted() {
 		t.Error("machine not halted after fault")
+	}
+	if m.Err() == nil {
+		t.Error("Err is nil after the fault")
+	}
+}
+
+// TestNextExposesFault checks that a stream ending in a fault is told apart
+// from a clean halt: jumping out of the code, and running off its end, both
+// end the Next stream and leave the fault in Err.
+func TestNextExposesFault(t *testing.T) {
+	for _, tc := range []struct {
+		src  string
+		recs int
+	}{
+		{"ldi r1, 99\njr r1", 2},
+		{"ldi r1, 1\naddi r1, r1, 1", 2},
+		{"ldi r1, 1\nhalt", 2},
+	} {
+		m, err := New(program.MustAssemble(tc.src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := trace.Collect(m, 0)
+		if len(recs) != tc.recs || !m.Halted() {
+			t.Errorf("%q: %d records, halted %t; want %d, true", tc.src, len(recs), m.Halted(), tc.recs)
+		}
+		clean := strings.HasSuffix(tc.src, "halt")
+		if err := m.Err(); (err == nil) != clean {
+			t.Errorf("%q: Err = %v, want a fault: %t", tc.src, err, !clean)
+		}
 	}
 }
 

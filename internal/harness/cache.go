@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"valuespec/internal/bench"
 	"valuespec/internal/emu"
@@ -23,7 +22,7 @@ type traceKey struct {
 
 type traceEntry struct {
 	once sync.Once
-	recs []trace.Record
+	rec  *trace.Recording
 	err  error
 
 	// Accounting, guarded by the cache mutex.
@@ -31,24 +30,22 @@ type traceEntry struct {
 	lastUse int64 // cache clock at the most recent Source call
 }
 
-// recordBytes is the in-memory footprint of one trace.Record, used to charge
-// recordings against the cache's byte budget.
-const recordBytes = int64(unsafe.Sizeof(trace.Record{}))
-
 // TraceCache memoizes the functional emulation of each (workload, scale)
 // pair so a sweep emulates every workload once and replays the recorded
-// stream for all subsequent specs. Safe for concurrent use; each caller gets
-// an independent read cursor over the shared record slice.
+// stream for all subsequent specs. Streams are held as compact
+// trace.Recordings. Safe for concurrent use; each caller gets an independent
+// cursor over the shared recording.
 // Hit/miss/record/eviction counters are published through an internal
 // obs.Registry.
 //
-// Memory is bounded by an optional byte budget (SetByteBudget): when the
-// held recordings exceed it, least-recently-used entries are dropped until
+// Memory is bounded by an optional byte budget (SetByteBudget), charged
+// each recording's true footprint (trace.Recording.Bytes): when the held
+// recordings exceed it, least-recently-used entries are dropped until
 // the cache fits again, so a long-lived daemon can serve arbitrarily many
 // (workload, scale) pairs in constant space. Evicted recordings stay valid
 // for readers that already hold a replay cursor — eviction only forgets the
-// cache's reference; the garbage collector reclaims the records once the
-// last cursor drops them.
+// cache's reference; the garbage collector reclaims the recording once the
+// last cursor drops it.
 type TraceCache struct {
 	mu      sync.Mutex
 	entries map[traceKey]*traceEntry
@@ -101,7 +98,8 @@ func (c *TraceCache) ByteBudget() int64 {
 // given scale (<= 0 selects the workload default), emulating the workload on
 // first use. Concurrent callers for the same key share one emulation: the
 // first to arrive records it while the rest block on it, then every caller
-// replays the same shared records.
+// replays the same shared recording. An emulator fault fails the recording,
+// so a faulting workload is an error rather than a short trace.
 func (c *TraceCache) Source(w bench.Workload, scale int) (trace.Source, error) {
 	if scale <= 0 {
 		scale = w.DefaultScale
@@ -121,15 +119,13 @@ func (c *TraceCache) Source(w bench.Workload, scale int) (trace.Source, error) {
 	}
 	c.mu.Unlock()
 	e.once.Do(func() {
-		m, err := emu.New(w.Build(scale))
-		if err != nil {
-			e.err = fmt.Errorf("harness: %s: %w", w.Name, err)
+		e.rec, e.err = record(w, scale)
+		if e.err != nil {
 			return
 		}
-		e.recs = trace.Collect(m, 0)
 		c.mu.Lock()
-		c.records.Add(int64(len(e.recs)))
-		e.bytes = int64(len(e.recs)) * recordBytes
+		c.records.Add(e.rec.Len())
+		e.bytes = e.rec.Bytes()
 		c.bytes += e.bytes
 		c.evictLocked()
 		c.mu.Unlock()
@@ -137,7 +133,24 @@ func (c *TraceCache) Source(w bench.Workload, scale int) (trace.Source, error) {
 	if e.err != nil {
 		return nil, e.err
 	}
-	return trace.NewMemorySource(e.recs), nil
+	return e.rec.Cursor(), nil
+}
+
+// record emulates w at scale into a compact recording.
+func record(w bench.Workload, scale int) (*trace.Recording, error) {
+	prog := w.Build(scale)
+	m, err := emu.New(prog)
+	if err != nil {
+		return nil, fmt.Errorf("harness: %s: %w", w.Name, err)
+	}
+	rec, err := trace.NewRecording(prog.Code, m)
+	if err == nil {
+		err = m.Err()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("harness: %s: %w", w.Name, err)
+	}
+	return rec, nil
 }
 
 // evictLocked drops least-recently-used sized entries until the footprint

@@ -109,7 +109,10 @@ func (s Spec) Label() string {
 	return fmt.Sprintf("%s@%d %s %s", s.Workload.Name, scale, ConfigName(s.Config), model)
 }
 
-// Result is the outcome of one simulation.
+// Result is the outcome of one simulation. It owns its counters and holds
+// no reference into the pipeline that produced them, so the pipeline — its
+// predictor, confidence and cache tables — is garbage as soon as the
+// simulation returns, however long the Result is kept.
 type Result struct {
 	Spec  Spec
 	Stats *cpu.Stats
@@ -125,30 +128,8 @@ func (r Result) IPC() float64 { return r.Stats.IPC() }
 // consumes the functional emulator directly.
 func Simulate(spec Spec) (Result, error) { return simulate(spec, nil) }
 
-// newPipeline builds the configured pipeline for one spec. With a non-nil
-// cache the pipeline replays the cached trace of (workload, scale); otherwise
-// it is execute-driven. Both feed the pipeline the identical record stream,
-// so results are bit-identical either way (the differential suite in
-// replay_test.go holds this at byte granularity).
-func newPipeline(spec Spec, cache *TraceCache) (*cpu.Pipeline, *obs.PhaseTimer, error) {
-	var src trace.Source
-	if cache != nil {
-		s, err := cache.Source(spec.Workload, spec.Scale)
-		if err != nil {
-			return nil, nil, err
-		}
-		src = s
-	} else {
-		scale := spec.Scale
-		if scale <= 0 {
-			scale = spec.Workload.DefaultScale
-		}
-		m, err := emu.New(spec.Workload.Build(scale))
-		if err != nil {
-			return nil, nil, fmt.Errorf("harness: %s: %w", spec.Workload.Name, err)
-		}
-		src = m
-	}
+// newPipeline builds the configured pipeline for one spec, consuming src.
+func newPipeline(spec Spec, src trace.Source) (*cpu.Pipeline, *obs.PhaseTimer, error) {
 	var opts *cpu.SpecOptions
 	if spec.Model != nil {
 		var conf confidence.Estimator = confidence.Default()
@@ -191,20 +172,48 @@ func newPipeline(spec Spec, cache *TraceCache) (*cpu.Pipeline, *obs.PhaseTimer, 
 	return p, phases, nil
 }
 
-// simulate runs one simulation to completion.
+// simulate runs one simulation to completion. With a non-nil cache the
+// pipeline replays the cached trace of (workload, scale); otherwise it is
+// execute-driven. Both feed the pipeline the identical record stream, so
+// results are bit-identical either way (the differential suite in
+// replay_test.go holds this at byte granularity), and both fail on an
+// emulator fault instead of simulating the stream up to it.
 func simulate(spec Spec, cache *TraceCache) (Result, error) {
-	p, phases, err := newPipeline(spec, cache)
+	var src trace.Source
+	var m *emu.Machine
+	if cache != nil {
+		s, err := cache.Source(spec.Workload, spec.Scale)
+		if err != nil {
+			return Result{}, err
+		}
+		src = s
+	} else {
+		scale := spec.Scale
+		if scale <= 0 {
+			scale = spec.Workload.DefaultScale
+		}
+		var err error
+		if m, err = emu.New(spec.Workload.Build(scale)); err != nil {
+			return Result{}, fmt.Errorf("harness: %s: %w", spec.Workload.Name, err)
+		}
+		src = m
+	}
+	p, phases, err := newPipeline(spec, src)
 	if err != nil {
 		return Result{}, err
 	}
 	st, err := p.Run()
+	if err == nil && m != nil {
+		err = m.Err()
+	}
 	if err != nil {
 		return Result{}, fmt.Errorf("harness: %s on %s: %w", spec.Workload.Name, ConfigName(spec.Config), err)
 	}
+	stats := *st
+	res := Result{Spec: spec, Stats: &stats}
 	if rep := ActiveSpecReport(); rep != nil {
-		rep.Record(spec, st)
+		rep.Record(spec, res.Stats)
 	}
-	res := Result{Spec: spec, Stats: st}
 	if phases != nil {
 		res.Phases = phases.Breakdown()
 	}

@@ -6,21 +6,25 @@ import (
 	"testing"
 )
 
+// AssembleSeeds is the FuzzAssemble seed corpus. It is exported to the
+// package's external tests, which fuzz the emulator and trace recordings
+// over the same programs.
+var AssembleSeeds = []string{
+	"halt",
+	"ldi r1, 5\nadd r2, r1, r1\nhalt",
+	"loop: addi r1, r1, -1\nbne r1, r0, loop\nhalt",
+	".name x\n.word 10 42\nld r1, 8(r2)\nst r1, (r2)\nhalt",
+	"jal r31, f\nhalt\nf: jr r31",
+	"; comment only",
+	".words 0 1 2 3",
+	"label:halt",
+	"ldi r1, 0x7fffffffffffffff\nhalt",
+}
+
 // FuzzAssemble checks the assembler never panics and that anything it
 // accepts disassembles and revalidates.
 func FuzzAssemble(f *testing.F) {
-	seeds := []string{
-		"halt",
-		"ldi r1, 5\nadd r2, r1, r1\nhalt",
-		"loop: addi r1, r1, -1\nbne r1, r0, loop\nhalt",
-		".name x\n.word 10 42\nld r1, 8(r2)\nst r1, (r2)\nhalt",
-		"jal r31, f\nhalt\nf: jr r31",
-		"; comment only",
-		".words 0 1 2 3",
-		"label:halt",
-		"ldi r1, 0x7fffffffffffffff\nhalt",
-	}
-	for _, s := range seeds {
+	for _, s := range AssembleSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

@@ -182,6 +182,8 @@ func TestAssembleErrors(t *testing.T) {
 		"jmp nowhere\nhalt",     // undefined label
 		".word 10",              // wrong .word arity
 		":",                     // empty label
+		",",                     // separators only
+		"l: ,",                  // separators only after a label
 	}
 	for _, src := range cases {
 		if _, err := Assemble(src); err == nil {

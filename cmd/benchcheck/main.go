@@ -36,7 +36,9 @@ var targets = []struct{ pkg, pattern string }{
 	{"./internal/cpu", "^(BenchmarkEmitNilObserver|BenchmarkWakeup|BenchmarkPipelineSteadyState|BenchmarkReplayRequeue|BenchmarkReadyQueueWide|BenchmarkBitsetSelect|BenchmarkIntervalSampler)$"},
 	// BenchmarkTraceReplay gates the trace-cache replay cursor alone at 0
 	// allocs/op: it rebuilds every record into its own buffer.
-	{"./internal/harness", "^(BenchmarkSimulateAllCached|BenchmarkTraceReplay)$"},
+	// BenchmarkTraceRecord gates recording one workload's trace, a sweep's
+	// per-workload set-up.
+	{"./internal/harness", "^(BenchmarkSimulateAllCached|BenchmarkTraceRecord|BenchmarkTraceReplay)$"},
 	// The jobs benchmarks are disk-bound (atomic file writes), so their
 	// checked-in ns/op baselines are hand-slackened above any observed run —
 	// a gross-regression gate; their allocation budgets are the tight gate.

@@ -33,7 +33,9 @@ type traceEntry struct {
 // TraceCache memoizes the functional emulation of each (workload, scale)
 // pair so a sweep emulates every workload once and replays the recorded
 // stream for all subsequent specs. Streams are held as compact
-// trace.Recordings. Safe for concurrent use; each caller gets an independent
+// trace.Recordings, which store only the value of every load and re-execute
+// the rest from the program (under 1 byte per instruction on the paper
+// workloads). Safe for concurrent use; each caller gets an independent
 // cursor over the shared recording.
 // Hit/miss/record/eviction counters are published through an internal
 // obs.Registry.

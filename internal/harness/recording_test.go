@@ -12,6 +12,7 @@ import (
 	"valuespec/internal/core"
 	"valuespec/internal/cpu"
 	"valuespec/internal/emu"
+	"valuespec/internal/isa"
 	"valuespec/internal/program"
 	"valuespec/internal/trace"
 )
@@ -39,6 +40,40 @@ func TestRecordingMatchesEmulator(t *testing.T) {
 				t.Fatalf("%s: record %d differs\nemulator: %+v\nreplay:   %+v", w.Name, i, want[i], got[i])
 			}
 		}
+	}
+}
+
+// TestRecordingFootprint pins what a recording holds: at the default scales
+// each one costs at most a word per load on top of its empty recording (the
+// per-program replay table and register file), and the eight together stay
+// under 2.5 MB — recordings that stored source operands and results as well
+// took 37 MB.
+func TestRecordingFootprint(t *testing.T) {
+	var total int64
+	for _, w := range bench.All() {
+		rec, err := record(w, w.DefaultScale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		empty, err := trace.NewRecording(w.Build(w.DefaultScale).Code, &trace.SliceSource{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mix trace.Mix
+		c := rec.Cursor()
+		for r, ok := c.NextRef(); ok; r, ok = c.NextRef() {
+			mix.Observe(r)
+		}
+		loads := mix.ByClass[isa.ClassLoad]
+		t.Logf("%s: %d records, %d loads, %d bytes", w.Name, rec.Len(), loads, rec.Bytes())
+		if limit := 8*loads + empty.Bytes(); rec.Bytes() > limit {
+			t.Errorf("%s: recording holds %d bytes, want at most %d (8 per load + %d fixed)", w.Name, rec.Bytes(), limit, empty.Bytes())
+		}
+		total += rec.Bytes()
+	}
+	const limit = 2_500_000
+	if total > limit {
+		t.Errorf("recordings hold %d bytes in total, want at most %d", total, limit)
 	}
 }
 
@@ -135,6 +170,26 @@ func liveHeap() uint64 {
 	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
 	metrics.Read(s)
 	return s[0].Value.Uint64()
+}
+
+// BenchmarkTraceRecord measures one workload's share of a sweep's set-up:
+// one op builds the gcc program at its default scale, emulates it to halt
+// and records the trace (gated by cmd/benchcheck on ns/op and allocs/op).
+func BenchmarkTraceRecord(b *testing.B) {
+	w, err := bench.ByName("gcc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var n int64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rec, err := record(w, w.DefaultScale)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n = rec.Len()
+	}
+	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }
 
 // BenchmarkTraceReplay measures the replay cursor alone: one op decodes the

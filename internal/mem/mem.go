@@ -49,7 +49,7 @@ type line struct {
 // Cache is a set-associative cache with true-LRU replacement.
 type Cache struct {
 	cfg       CacheConfig
-	sets      [][]line
+	lines     []line // set i is lines[i*Assoc : (i+1)*Assoc]
 	blockBits uint
 	setMask   uint64
 	clock     uint64
@@ -67,12 +67,9 @@ func NewCache(cfg CacheConfig) *Cache {
 		panic(err)
 	}
 	nsets := cfg.SizeBytes / (cfg.BlockBytes * cfg.Assoc)
-	c := &Cache{cfg: cfg, sets: make([][]line, nsets), setMask: uint64(nsets - 1)}
+	c := &Cache{cfg: cfg, lines: make([]line, nsets*cfg.Assoc), setMask: uint64(nsets - 1)}
 	for b := cfg.BlockBytes; b > 1; b >>= 1 {
 		c.blockBits++
-	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Assoc)
 	}
 	return c
 }
@@ -86,7 +83,7 @@ func (c *Cache) Access(addr uint64) bool {
 	c.Accesses++
 	c.clock++
 	block := addr >> c.blockBits
-	set := c.sets[block&c.setMask]
+	set := c.set(block)
 	tag := block >> uint(popcount(c.setMask))
 
 	victim := 0
@@ -107,6 +104,12 @@ func (c *Cache) Access(addr uint64) bool {
 	return false
 }
 
+// set returns the ways of the set that block maps to.
+func (c *Cache) set(block uint64) []line {
+	first := int(block&c.setMask) * c.cfg.Assoc
+	return c.lines[first : first+c.cfg.Assoc]
+}
+
 // MissRate returns misses/accesses, or 0 before any access.
 func (c *Cache) MissRate() float64 {
 	if c.Accesses == 0 {
@@ -117,11 +120,7 @@ func (c *Cache) MissRate() float64 {
 
 // Reset clears contents and statistics.
 func (c *Cache) Reset() {
-	for i := range c.sets {
-		for j := range c.sets[i] {
-			c.sets[i][j] = line{}
-		}
-	}
+	clear(c.lines)
 	c.clock, c.Accesses, c.Misses = 0, 0, 0
 }
 
@@ -211,7 +210,7 @@ func (h *Hierarchy) Data(addr uint64) int {
 // this probe is only used by diagnostics.
 func (h *Hierarchy) DataHit(addr uint64) bool {
 	block := addr >> h.l1d.blockBits
-	set := h.l1d.sets[block&h.l1d.setMask]
+	set := h.l1d.set(block)
 	tag := block >> uint(popcount(h.l1d.setMask))
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {

@@ -163,3 +163,21 @@ func TestHierarchyReset(t *testing.T) {
 		t.Error("stats survive Reset")
 	}
 }
+
+func TestResetClearsContents(t *testing.T) {
+	c := smallCache()
+	c.Access(0)
+	c.Reset()
+	if c.Access(0) {
+		t.Error("block survived Reset")
+	}
+}
+
+// TestNewHierarchyAllocs pins the flat line layout: each cache is one
+// backing array, not a slice header per set.
+func TestNewHierarchyAllocs(t *testing.T) {
+	allocs := testing.AllocsPerRun(10, func() { NewHierarchy(DefaultHierarchyConfig()) })
+	if allocs > 10 {
+		t.Errorf("NewHierarchy made %.0f allocations, want at most 10", allocs)
+	}
+}

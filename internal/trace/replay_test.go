@@ -8,60 +8,30 @@ import (
 	"valuespec/internal/isa"
 )
 
-var testInstr = isa.Instruction{Op: isa.ADD, Dst: 1, Src1: 2, Src2: 3}
+// testInstr accumulates r2 into r1: r1 is read after it is written, r2 is
+// only ever read.
+var testInstr = isa.Instruction{Op: isa.ADD, Dst: 1, Src1: 1, Src2: 2}
 
-// testRecords is the stream of a straight-line program of n testInstr.
+// testRecords is the stream of a straight-line program of n testInstr,
+// starting from r1 = 1 and r2 = 3.
 func testRecords(n int) ([]isa.Instruction, []Record) {
 	code := make([]isa.Instruction, n)
 	recs := make([]Record, n)
+	r1 := int64(1)
 	for i := range recs {
 		code[i] = testInstr
 		recs[i] = Record{
 			Seq: int64(i), PC: i,
 			Instr:   testInstr,
 			NSrc:    2,
-			SrcRegs: [2]isa.Reg{2, 3},
-			SrcVals: [2]int64{int64(i), int64(2 * i)},
-			DstVal:  int64(3 * i),
+			SrcRegs: [2]isa.Reg{1, 2},
+			SrcVals: [2]int64{r1, 3},
+			DstVal:  r1 + 3,
 			NextPC:  i + 1,
 		}
+		r1 += 3
 	}
 	return code, recs
-}
-
-func TestRecordingIndependentCursors(t *testing.T) {
-	code, recs := testRecords(5)
-	rec, err := NewRecording(code, &SliceSource{Records: recs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Len() != 5 {
-		t.Fatalf("Len = %d, want 5", rec.Len())
-	}
-	if rec.Bytes() < 5*3*8 {
-		t.Fatalf("Bytes = %d, want at least the %d value bytes", rec.Bytes(), 5*3*8)
-	}
-	a, b := rec.Cursor(), rec.Cursor()
-	// Advance a past b; b must be unaffected.
-	if r, ok := a.Next(); !ok || r.Seq != 0 {
-		t.Fatalf("a.Next = %v, %t", r, ok)
-	}
-	if r, ok := a.Next(); !ok || r.Seq != 1 {
-		t.Fatalf("a.Next = %v, %t", r, ok)
-	}
-	if r, ok := b.Next(); !ok || r.Seq != 0 {
-		t.Fatalf("b.Next = %v, %t after advancing a", r, ok)
-	}
-	got := Collect(a, 0)
-	if !reflect.DeepEqual(got, recs[2:]) {
-		t.Fatalf("a drained %v, want %v", got, recs[2:])
-	}
-	if _, ok := a.Next(); ok {
-		t.Fatal("a.Next reported a record past the end")
-	}
-	if r, ok := a.NextRef(); ok || r != nil {
-		t.Fatalf("a.NextRef = %v, %t past the end", r, ok)
-	}
 }
 
 // TestRecordingControlFlow replays a loop: taken and untaken branches, a
@@ -125,13 +95,19 @@ func TestRecordingControlFlow(t *testing.T) {
 // TestRecordingRejectsForeignStreams checks that a stream the code cannot
 // reproduce is refused instead of recorded into a different replay.
 func TestRecordingRejectsForeignStreams(t *testing.T) {
-	code, _ := testRecords(4)
+	code, recs := testRecords(4)
+	if _, err := NewRecording(code, &SliceSource{Records: recs}); err != nil {
+		t.Fatalf("unmutated stream refused: %v", err)
+	}
 	for name, mutate := range map[string]func([]Record) []Record{
 		"renumbered":     func(r []Record) []Record { r[2].Seq = 7; return r },
 		"record missing": func(r []Record) []Record { return append(r[:1], r[2:]...) },
 		"other program":  func(r []Record) []Record { r[1].Instr.Op = isa.SUB; return r },
 		"pc past code":   func(r []Record) []Record { return append(r, Record{Seq: 4, PC: 4}) },
 		"stray value":    func(r []Record) []Record { r[0].Addr = 9; return r },
+		// r2 is never written, so its value cannot change.
+		"unwritten register changes": func(r []Record) []Record { r[2].SrcVals[1] = 4; return r },
+		"result differs":             func(r []Record) []Record { r[1].DstVal++; return r },
 	} {
 		_, recs := testRecords(len(code))
 		if _, err := NewRecording(code, &SliceSource{Records: mutate(recs)}); err == nil || !strings.HasPrefix(err.Error(), "trace: record") {

@@ -97,12 +97,12 @@ func TestFCMReplacementCounter(t *testing.T) {
 	f.trainEntry(ctx, 100)
 	f.trainEntry(ctx, 100)
 	f.trainEntry(ctx, 55) // clears counter, keeps 100
-	if f.pred[ctx].value != 100 {
-		t.Fatalf("value replaced on first mismatch: %d", f.pred[ctx].value)
+	if f.predVal[ctx] != 100 {
+		t.Fatalf("value replaced on first mismatch: %d", f.predVal[ctx])
 	}
 	f.trainEntry(ctx, 55) // now replaces
-	if f.pred[ctx].value != 55 {
-		t.Fatalf("value not replaced on second mismatch: %d", f.pred[ctx].value)
+	if f.predVal[ctx] != 55 {
+		t.Fatalf("value not replaced on second mismatch: %d", f.predVal[ctx])
 	}
 }
 
